@@ -106,7 +106,7 @@ func run() int {
 		preload    = flag.Int("preload", 0, "keys preloaded per dataset, uniform in [0, 1e6)")
 		queue      = flag.Int("queue", 0, "pending-request bound per dataset and path (0 = default)")
 		maxBatch   = flag.Int("max-batch", 0, "max coalesced requests per backend call (0 = default)")
-		window     = flag.Duration("coalesce-window", 100*time.Microsecond, "linger time for batch-mates (0 = opportunistic only)")
+		window     = flag.Duration("coalesce-window", 0, "linger time for batch-mates (0 = only requests already queued; values under 1ms wait at least 1ms on an idle daemon)")
 		flushers   = flag.Int("flushers", 0, "parallel backend calls per dataset and path (0 = GOMAXPROCS)")
 
 		readHdrTimeout = flag.Duration("read-header-timeout", 5*time.Second, "HTTP header read deadline per request (guards against slowloris connections)")

@@ -18,8 +18,8 @@ import (
 // of cmd/irsd). Two claims are measured, with a background writer applying
 // continuous churn — the regime a serving daemon lives in:
 //
-//  1. Coalescing divides backend traffic: with a linger window (the
-//     daemon's default 100µs), the average coalesced batch grows toward
+//  1. Coalescing divides backend traffic: with a 100µs linger window
+//     (opt-in; irsd's default is none), the average batch grows toward
 //     the client count, so backend SampleMany calls — each a round of
 //     shard lock acquisitions (E16c/E17c measure why that matters) — fall
 //     by the same factor relative to the per-request baseline, where every

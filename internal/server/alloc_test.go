@@ -2,6 +2,7 @@ package server
 
 import (
 	"testing"
+	"time"
 
 	"github.com/irsgo/irs/internal/persist"
 	"github.com/irsgo/irs/internal/shard"
@@ -33,7 +34,7 @@ func newAllocCore(t testing.TB, cfg Config) *Core[float64] {
 // SampleAppend round trip through the core — admission, coalescing, the
 // backend SampleManyAppend, scatter, reply — performs zero heap
 // allocations per request. AllocsPerRun counts mallocs process-wide, so
-// the gatherer and flusher goroutines are covered, not just the caller.
+// the flusher goroutine is covered, not just the caller.
 func TestSampleAppendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates and drops pool Puts")
@@ -66,7 +67,7 @@ func TestSampleAppendZeroAllocs(t *testing.T) {
 }
 
 // TestSampleAppendZeroAllocsWithWindow repeats the regression with a
-// configured linger window: the gatherer's timer must be Reset, not
+// configured linger window: the flusher's timer must be Reset, not
 // re-allocated, per batch. The window is a single nanosecond so the test
 // pays (almost) no wall-clock for it.
 func TestSampleAppendZeroAllocsWithWindow(t *testing.T) {
@@ -203,5 +204,37 @@ func BenchmarkCoreSampleAppend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCoreSampleAppendPaced is the unloaded rung that the closed-loop
+// BenchmarkCoreSampleAppend hides: one caller pauses between requests, so
+// the flushers park and every request pays a cold wake-up — plus, with a
+// linger window, the idle runtime's timer resolution (epoll_wait waits
+// in whole milliseconds). ns/op includes the pauses; roundtrip-ns/op is
+// the request round trip alone.
+func BenchmarkCoreSampleAppendPaced(b *testing.B) {
+	for _, w := range []struct {
+		name   string
+		window time.Duration
+	}{{"window=0", 0}, {"window=100us", 100 * time.Microsecond}} {
+		b.Run(w.name, func(b *testing.B) {
+			core := newAllocCore(b, Config{Flushers: 1, CoalesceWindow: w.window})
+			defer core.Close()
+			var dst []float64
+			var err error
+			var busy time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				time.Sleep(200 * time.Microsecond)
+				start := time.Now()
+				dst, err = core.SampleAppend("u", dst[:0], 0, 9_999, 16)
+				busy += time.Since(start)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(busy.Nanoseconds())/float64(b.N), "roundtrip-ns/op")
+		})
 	}
 }

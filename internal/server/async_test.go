@@ -146,20 +146,15 @@ func TestAsyncOverload(t *testing.T) {
 
 	sr := &chanReply[[]int]{ch: make(chan result[[]int], 8)}
 	submitted := 0
-	// Fill flusher + batch buffer + gatherer hand + queue (see
-	// TestQueueFullBackpressure for the deterministic staging).
-	for i := 0; i < 5; i++ {
+	// Fill the flusher's hand (MaxBatch) plus the queue (QueueDepth); see
+	// TestQueueFullBackpressure for the deterministic staging.
+	for i := 0; i < 3; i++ {
 		if err := core.SampleAppendAsync("d", nil, 0, 10, 1, sr); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		submitted++
-		switch i {
-		case 0:
+		if i == 0 {
 			waitFor(t, "first backend call", func() bool { s, _ := ds.calls(); return len(s) == 1 })
-		case 1:
-			waitFor(t, "batch buffered", func() bool { return len(st.samples.batches) == 1 })
-		case 2:
-			waitFor(t, "gatherer hand", func() bool { return len(st.samples.reqs) == 0 })
 		}
 	}
 	waitFor(t, "queue full", func() bool { return len(st.samples.reqs) == 2 })

@@ -43,72 +43,55 @@ type result[R any] struct {
 	err error
 }
 
-// batch is one gatherer-formed batch travelling to a flusher. It is a
-// pointer-carried struct (not a bare slice) so the flusher can return the
-// backing array to the pool after flushing — the slice may have grown in
-// the gatherer's hands, and a pooled pointer round-trips that growth
-// without an allocation per Put.
-type batch[Q, R any] struct {
-	reqs []request[Q, R]
-}
-
 // coalescer merges concurrently-arriving requests into batches:
 //
 //   - Admission is a bounded queue. submit fails fast with ErrOverloaded
 //     when the queue is full and ErrShuttingDown after close — the
 //     backpressure contract a transport maps to 503s — and otherwise blocks
 //     until its batch has been flushed.
-//   - One gatherer goroutine forms batches: it takes a queued request,
-//     drains everything else already waiting, lingers up to window for more
-//     when configured, and stops a batch at maxBatch requests.
-//   - A pool of flusher workers executes batches, so coalescing never
-//     serializes independent backend calls behind one core: under light
-//     load batches are small and flush in parallel; under heavy load the
-//     workers saturate, the queue backs up, and batches grow toward
-//     maxBatch — coalescing intensifies exactly when amortization pays.
+//   - A pool of flusher workers pulls from the queue directly: each takes
+//     the first waiting request, drains whatever else is already queued (up
+//     to maxBatch), and flushes, so a request crosses one goroutine handoff
+//     on the way in. Under light load flushers are parked on the queue and
+//     take requests one at a time, in parallel; under heavy load every
+//     flusher is busy, the queue backs up, and the next free flusher finds
+//     a batch already waiting — coalescing intensifies exactly when
+//     amortization pays.
+//   - A positive window makes the flusher that took the first request
+//     linger up to window for batch-mates before flushing (idle flushers
+//     keep taking new arrivals meanwhile). It is opt-in: an idle Go runtime
+//     sleeps in epoll_wait with millisecond resolution, so any window under
+//     1 ms costs a quiet request a full millisecond.
 //
 // Each flusher owns private state (in particular its sampling RNG and
 // result scratch) through the newFlush factory, so flushes need no locking
 // of their own. Everything per-request on the steady-state path — the reply
-// channel, the batch slice, the gatherer's linger timer — is pooled or
+// channel, the flusher's batch slice, its linger timer — is pooled or
 // reused, so a coalesced round trip performs no heap allocation of its own.
 type coalescer[Q, R any] struct {
 	reqs     chan request[Q, R]
-	batches  chan *batch[Q, R]
 	window   time.Duration
 	maxBatch int
 
-	outPool   sync.Pool // chan result[R], recycled across submits
-	batchPool sync.Pool // *batch[Q, R], recycled across flushes
+	outPool sync.Pool // chan result[R], recycled across submits
 
 	mu       sync.RWMutex // guards closed; held shared around every send
 	closed   bool
-	loopDone chan struct{}
 	flushers sync.WaitGroup
 }
 
-// newCoalescer starts the gatherer and workers flusher goroutines, each
-// flushing batches through its own closure from newFlush.
+// newCoalescer starts workers flusher goroutines, each flushing batches
+// through its own closure from newFlush.
 func newCoalescer[Q, R any](queueDepth, maxBatch, workers int, window time.Duration, newFlush func() func([]request[Q, R])) *coalescer[Q, R] {
 	c := &coalescer[Q, R]{
 		reqs:     make(chan request[Q, R], queueDepth),
-		batches:  make(chan *batch[Q, R], workers),
 		window:   window,
 		maxBatch: maxBatch,
-		loopDone: make(chan struct{}),
 	}
 	c.flushers.Add(workers)
 	for i := 0; i < workers; i++ {
-		go func() {
-			defer c.flushers.Done()
-			flush := newFlush()
-			for b := range c.batches {
-				flush(b.reqs)
-				c.putBatch(b)
-			}
-		}()
+		go c.flushLoop(newFlush())
 	}
-	go c.loop()
 	return c
 }
 
@@ -117,22 +100,6 @@ func (c *coalescer[Q, R]) getOut() chan result[R] {
 		return out
 	}
 	return make(chan result[R], 1)
-}
-
-func (c *coalescer[Q, R]) getBatch() *batch[Q, R] {
-	if b, ok := c.batchPool.Get().(*batch[Q, R]); ok {
-		return b
-	}
-	return &batch[Q, R]{reqs: make([]request[Q, R], 0, 8)}
-}
-
-// putBatch clears the flushed batch — dropping its references to reply
-// channels and payloads so the pool retains only the backing array — and
-// recycles it.
-func (c *coalescer[Q, R]) putBatch(b *batch[Q, R]) {
-	clear(b.reqs)
-	b.reqs = b.reqs[:0]
-	c.batchPool.Put(b)
 }
 
 // depth reports how many accepted requests are waiting in the queue
@@ -204,77 +171,63 @@ func (c *coalescer[Q, R]) close() {
 		// every new submit now observes closed first.
 		close(c.reqs)
 	}
-	<-c.loopDone
 	c.flushers.Wait()
 }
 
-// loop is the gatherer: batch formation only, never backend work. Its
-// linger timer is created once and Reset per batch (Go 1.23+ timer
-// semantics make Reset safe without draining), so a configured window does
-// not cost a timer allocation per batch.
-func (c *coalescer[Q, R]) loop() {
-	defer close(c.loopDone)
-	defer close(c.batches)
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		r, ok := <-c.reqs
-		if !ok {
-			return
-		}
-		b := c.getBatch()
-		b.reqs = append(b.reqs, r)
-		alive := c.gather(&b.reqs, &timer)
-		c.batches <- b
-		if !alive {
-			return
-		}
+// flushLoop is one flusher: take a request, gather its batch-mates, flush,
+// until the queue is closed and drained. The batch slice and the linger
+// timer are the flusher's own and reused across batches (Go 1.23+ timer
+// semantics make Reset safe without draining), so neither costs an
+// allocation per batch.
+func (c *coalescer[Q, R]) flushLoop(flush func([]request[Q, R])) {
+	defer c.flushers.Done()
+	var linger *time.Timer
+	if c.window > 0 {
+		linger = time.NewTimer(c.window)
+		linger.Stop()
+	}
+	var batch []request[Q, R]
+	for r := range c.reqs {
+		batch = c.gather(append(batch, r), linger)
+		flush(batch)
+		// Drop the references to reply channels and payloads so the
+		// retained backing array pins nothing between batches.
+		clear(batch)
+		batch = batch[:0]
 	}
 }
 
-// gather fills batch with whatever else is queued: everything immediately
-// available, then — when a linger window is configured — whatever arrives
-// before the window closes, stopping early at maxBatch requests. It reports
-// false once the queue has been closed and drained.
-func (c *coalescer[Q, R]) gather(batch *[]request[Q, R], timer **time.Timer) bool {
-	for len(*batch) < c.maxBatch {
+// gather appends to batch whatever else is queued, stopping at maxBatch
+// requests. Without a linger timer it takes only what is already waiting;
+// with one it waits up to window for more. A closed queue ends the batch
+// early, and the caller's next receive sees the close.
+func (c *coalescer[Q, R]) gather(batch []request[Q, R], linger *time.Timer) []request[Q, R] {
+	if linger == nil {
+		for len(batch) < c.maxBatch {
+			select {
+			case r, ok := <-c.reqs:
+				if !ok {
+					return batch
+				}
+				batch = append(batch, r)
+			default:
+				return batch
+			}
+		}
+		return batch
+	}
+	linger.Reset(c.window)
+	defer linger.Stop()
+	for len(batch) < c.maxBatch {
 		select {
 		case r, ok := <-c.reqs:
 			if !ok {
-				return false
+				return batch
 			}
-			*batch = append(*batch, r)
-			continue
-		default:
-		}
-		break
-	}
-	if c.window <= 0 || len(*batch) >= c.maxBatch {
-		return true
-	}
-	t := *timer
-	if t == nil {
-		t = time.NewTimer(c.window)
-		*timer = t
-	} else {
-		t.Reset(c.window)
-	}
-	for len(*batch) < c.maxBatch {
-		select {
-		case r, ok := <-c.reqs:
-			if !ok {
-				t.Stop()
-				return false
-			}
-			*batch = append(*batch, r)
-		case <-t.C:
-			return true
+			batch = append(batch, r)
+		case <-linger.C:
+			return batch
 		}
 	}
-	t.Stop()
-	return true
+	return batch
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -109,38 +111,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// settle waits until admitted reports every request has been counted and
-// the queue length has been stable long enough that the gatherer must be
-// parked (it never leaves requests queued while runnable: it drains the
-// queue, then blocks). Returns the settled queue length.
-func settle(t *testing.T, admitted func() bool, queueLen func() int) int {
-	t.Helper()
-	stable, last := 0, -1
-	for i := 0; i < 4000; i++ {
-		q := queueLen()
-		if admitted() && q == last {
-			if stable++; stable >= 100 {
-				return q
-			}
-		} else {
-			stable = 0
-		}
-		last = q
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("pipeline never settled")
-	return 0
-}
-
 // TestCoalescingStrictlyFewerBackendCalls is the deterministic form of the
 // tentpole claim: N concurrent sample requests must reach the backend in
-// strictly fewer SampleMany calls than N. The pipeline is wedged — request
-// A blocked inside the backend, B's batch parked in the batches buffer —
-// so the remaining 14 requests can only end up split between the
-// gatherer's held batch (k requests) and the queue (q = 14-k requests).
-// Releasing the backend must then flush them in exactly one call each:
-// 3 calls total when the gatherer absorbed everything, 4 otherwise —
-// either way far fewer than 16, with sizes fully accounted for.
+// strictly fewer SampleMany calls than N. The single flusher is wedged —
+// request A blocked inside the backend — so the other N-1 requests can
+// only wait in the queue. Releasing the backend must then flush A alone
+// and the N-1 queued requests as one batch: 2 calls for 16 requests.
 func TestCoalescingStrictlyFewerBackendCalls(t *testing.T) {
 	const n = 16
 	ds := &stubDataset{sampleGate: make(chan struct{})}
@@ -163,14 +139,10 @@ func TestCoalescingStrictlyFewerBackendCalls(t *testing.T) {
 
 	go submit(0) // A: taken by the flusher, blocked on the gate
 	waitFor(t, "first backend call", func() bool { s, _ := ds.calls(); return len(s) == 1 })
-	go submit(1) // B: gathered alone, parked in the batches buffer
-	waitFor(t, "batch buffered", func() bool { return len(st.samples.batches) == 1 })
-	for i := 2; i < n; i++ {
-		go submit(i) // split between the gatherer's hand and the queue
+	for i := 1; i < n; i++ {
+		go submit(i) // queued behind the wedged flusher
 	}
-	q := settle(t,
-		func() bool { return st.counters.sampleRequests.Load() == n },
-		func() int { return len(st.samples.reqs) })
+	waitFor(t, "queued requests", func() bool { return len(st.samples.reqs) == n-1 })
 
 	close(ds.sampleGate)
 	for i := 0; i < n; i++ {
@@ -191,31 +163,72 @@ func TestCoalescingStrictlyFewerBackendCalls(t *testing.T) {
 	}
 
 	samples, _ := ds.calls()
-	wantCalls := 3
-	if q > 0 {
-		wantCalls = 4
-	}
-	if len(samples) != wantCalls {
-		t.Fatalf("backend calls = %d (%v), want %d for settled queue %d", len(samples), samples, wantCalls, q)
-	}
-	sum, maxBatch := 0, 0
-	for _, b := range samples {
-		sum += b
-		maxBatch = max(maxBatch, b)
-	}
-	if sum != n {
-		t.Fatalf("backend saw %d requests, want %d (%v)", sum, n, samples)
-	}
-	if samples[0] != 1 || samples[1] != 1 {
-		t.Fatalf("wedged batches not singletons: %v", samples)
-	}
-	if q > 0 && samples[wantCalls-1] != q {
-		t.Fatalf("final batch = %d, want the %d queued requests (%v)", samples[wantCalls-1], q, samples)
+	if len(samples) != 2 || samples[0] != 1 || samples[1] != n-1 {
+		t.Fatalf("backend calls = %v, want [1 %d]", samples, n-1)
 	}
 	s := core.Stats().Datasets[0]
-	if s.SampleRequests != n || s.SampleBatches != uint64(wantCalls) ||
-		s.MaxCoalesced != uint64(maxBatch) || s.SamplesReturned != n*3 {
+	if s.SampleRequests != n || s.SampleBatches != 2 ||
+		s.MaxCoalesced != n-1 || s.SamplesReturned != n*3 {
 		t.Fatalf("stats: %+v", s)
+	}
+}
+
+// TestCoalescingWithoutTimer pins that batches form from queueing alone:
+// with no linger window and the only flusher wedged on the backend, N
+// queued requests reach the backend as one batch of min(N, MaxBatch), then
+// the remainder in MaxBatch-sized batches — on the blocking path and on
+// the async (Reply) path.
+func TestCoalescingWithoutTimer(t *testing.T) {
+	const maxBatch = 8
+	for _, async := range []bool{false, true} {
+		for _, n := range []int{5, 20} {
+			name := fmt.Sprintf("async=%v/n=%d", async, n)
+			t.Run(name, func(t *testing.T) {
+				ds := &stubDataset{sampleGate: make(chan struct{})}
+				core := NewCore[int](Config{QueueDepth: 64, MaxBatch: maxBatch, Flushers: 1})
+				if err := core.Add("d", ds); err != nil {
+					t.Fatal(err)
+				}
+				defer core.Close()
+				st := core.byName["d"]
+
+				sr := &chanReply[[]int]{ch: make(chan result[[]int], n+1)}
+				submit := func(lo int) {
+					if async {
+						if err := core.SampleAppendAsync("d", nil, lo, lo+10, 2, sr); err != nil {
+							t.Errorf("submit %d: %v", lo, err)
+						}
+						return
+					}
+					go func() {
+						keys, err := core.Sample("d", lo, lo+10, 2)
+						sr.Deliver(keys, err)
+					}()
+				}
+
+				submit(0) // wedges the flusher
+				waitFor(t, "first backend call", func() bool { s, _ := ds.calls(); return len(s) == 1 })
+				for i := 1; i <= n; i++ {
+					submit(i)
+				}
+				waitFor(t, "queued requests", func() bool { return len(st.samples.reqs) == n })
+
+				close(ds.sampleGate)
+				for i := 0; i <= n; i++ {
+					res := <-sr.ch
+					if res.err != nil || len(res.v) != 2 || res.v[0] != res.v[1] {
+						t.Fatalf("request answered %v, %v", res.v, res.err)
+					}
+				}
+				want := []int{1}
+				for left := n; left > 0; left -= maxBatch {
+					want = append(want, min(left, maxBatch))
+				}
+				if samples, _ := ds.calls(); !slices.Equal(samples, want) {
+					t.Fatalf("backend calls = %v, want %v", samples, want)
+				}
+			})
+		}
 	}
 }
 
@@ -243,16 +256,12 @@ func TestInsertCoalescing(t *testing.T) {
 	st := core.byName["d"]
 	go submit(1) // blocked in the backend
 	waitFor(t, "first insert call", func() bool { _, ins := ds.calls(); return len(ins) == 1 })
-	go submit(2) // parked in the batches buffer
-	waitFor(t, "insert batch buffered", func() bool { return len(st.inserts.batches) == 1 })
-	total := 1 + 2
-	for i := 2; i < n; i++ {
-		go submit(i + 1) // sizes 3..10, split between gatherer hand and queue
+	total := 1
+	for i := 1; i < n; i++ {
+		go submit(i + 1) // sizes 2..10, queued behind the wedged flusher
 		total += i + 1
 	}
-	q := settle(t,
-		func() bool { return st.counters.insertRequests.Load() == n },
-		func() int { return len(st.inserts.reqs) })
+	waitFor(t, "queued inserts", func() bool { return len(st.inserts.reqs) == n-1 })
 
 	close(ds.insertGate)
 	gotTotal := 0
@@ -266,33 +275,23 @@ func TestInsertCoalescing(t *testing.T) {
 		t.Fatalf("acknowledged %d items, want %d", gotTotal, total)
 	}
 	_, inserts := ds.calls()
-	wantCalls := 3
-	if q > 0 {
-		wantCalls = 4
-	}
-	if len(inserts) != wantCalls {
-		t.Fatalf("backend insert calls = %d (%v), want %d for settled queue %d", len(inserts), inserts, wantCalls, q)
-	}
-	sum := 0
-	for _, b := range inserts {
-		sum += b
-	}
-	if sum != total || inserts[0] != 1 || inserts[1] != 2 {
-		t.Fatalf("backend item batches = %v, want prefix [1 2] summing to %d", inserts, total)
+	if len(inserts) != 2 || inserts[0] != 1 || inserts[1] != total-1 {
+		t.Fatalf("backend item batches = %v, want [1 %d]", inserts, total-1)
 	}
 	s := core.Stats().Datasets[0]
-	if s.InsertRequests != n || s.InsertBatches != uint64(wantCalls) || s.ItemsInserted != uint64(total) {
+	if s.InsertRequests != n || s.InsertBatches != 2 || s.ItemsInserted != uint64(total) {
 		t.Fatalf("stats: %+v", s)
 	}
 }
 
-// TestQueueFullBackpressure fills the pipeline deterministically — one
-// request blocked in the backend, one batch buffered, one in the
-// gatherer's hand, QueueDepth queued — and checks that the next submission
-// fails fast with ErrOverloaded while every accepted request is served.
+// TestQueueFullBackpressure fills the pipeline deterministically — each of
+// the two flushers holding one request blocked in the backend, QueueDepth
+// queued, so QueueDepth + Flushers×MaxBatch accepted — and checks that the
+// next submission fails fast with ErrOverloaded while every accepted
+// request is served.
 func TestQueueFullBackpressure(t *testing.T) {
 	ds := &stubDataset{sampleGate: make(chan struct{})}
-	core := NewCore[int](Config{QueueDepth: 2, MaxBatch: 1, Flushers: 1})
+	core := NewCore[int](Config{QueueDepth: 2, MaxBatch: 1, Flushers: 2})
 	if err := core.Add("d", ds); err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +301,10 @@ func TestQueueFullBackpressure(t *testing.T) {
 	errs := make(chan error, 8)
 	submit := func() { _, err := core.Sample("d", 0, 10, 1); errs <- err }
 
-	go submit() // absorbed by the flusher (blocked on the gate)
+	go submit() // taken by a flusher (blocked on the gate)
 	waitFor(t, "first backend call", func() bool { s, _ := ds.calls(); return len(s) == 1 })
-	go submit() // sits in the batches buffer
-	waitFor(t, "batch buffered", func() bool { return len(st.samples.batches) == 1 })
-	go submit() // in the gatherer's hand, blocked on the batches channel
-	waitFor(t, "gatherer to pick it up", func() bool { return len(st.samples.reqs) == 0 })
+	go submit() // taken by the other flusher
+	waitFor(t, "second backend call", func() bool { s, _ := ds.calls(); return len(s) == 2 })
 	go submit() // queued
 	waitFor(t, "queue depth 1", func() bool { return len(st.samples.reqs) == 1 })
 	go submit() // queued
@@ -319,13 +316,13 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 
 	close(ds.sampleGate)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("accepted request failed: %v", err)
 		}
 	}
 	s := core.Stats().Datasets[0]
-	if s.SampleRequests != 6 || s.SampleRejected != 1 {
+	if s.SampleRequests != 5 || s.SampleRejected != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
 }
@@ -334,9 +331,9 @@ func TestQueueFullBackpressure(t *testing.T) {
 // (drain), requests after Close fail with ErrShuttingDown, and nothing
 // panics in any interleaving of close with blocked flushes.
 func TestShutdownWhileInflight(t *testing.T) {
-	// The pipeline absorbs at most MaxBatch*(flusher + buffer + gatherer
-	// hand) = 12 requests, so 16 guarantees some are still queued when
-	// Close begins — shutdown-while-inflight in every stage.
+	// The flusher holds at most MaxBatch = 4 requests, so 16 guarantees
+	// some are still queued when Close begins — shutdown-while-inflight in
+	// every stage.
 	const n = 16
 	ds := &stubDataset{sampleGate: make(chan struct{})}
 	core := NewCore[int](Config{QueueDepth: 64, MaxBatch: 4, Flushers: 1})

@@ -26,8 +26,8 @@
 // growing an unbounded backlog; after Close begins, with ErrShuttingDown.
 // Requests accepted before Close are always answered — shutdown drains.
 // The knobs are Config.QueueDepth (backlog bound), Config.MaxBatch (how
-// many requests one backend call may carry), Config.CoalesceWindow (how
-// long to linger for batch-mates), and Config.Flushers (parallel backend
+// many requests one backend call may carry), Config.CoalesceWindow (an
+// opt-in linger for batch-mates), and Config.Flushers (parallel backend
 // calls in flight).
 package server
 
@@ -92,10 +92,13 @@ type Config struct {
 	// MaxBatch caps how many coalesced requests one backend call carries.
 	// <= 0 means DefaultMaxBatch.
 	MaxBatch int
-	// CoalesceWindow is how long the gatherer lingers for further requests
-	// after taking the first of a batch: 0 coalesces opportunistically
-	// (only what is already queued, adding no latency), a positive window
-	// trades that much latency for larger batches.
+	// CoalesceWindow is how long a flusher lingers for further requests
+	// after taking the first of a batch. 0 (the default) coalesces only
+	// what is already queued, adding no latency: batches still form
+	// whenever requests arrive faster than the flushers drain them. A
+	// positive window trades latency for larger batches; on an idle
+	// process any window under 1 ms waits at least 1 ms, because the Go
+	// runtime parks in epoll_wait, whose timeout is in whole milliseconds.
 	CoalesceWindow time.Duration
 	// Flushers is the number of backend calls that may be in flight at
 	// once per dataset and path. <= 0 means GOMAXPROCS.

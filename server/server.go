@@ -51,9 +51,10 @@ import (
 // Config holds the admission-control and coalescing knobs, applied per
 // dataset and per path: QueueDepth (pending-request bound; full queues
 // answer 503 overloaded), MaxBatch (requests per coalesced backend call),
-// CoalesceWindow (linger time for batch-mates; 0 = opportunistic only),
-// and Flushers (parallel backend calls in flight). Zero values take the
-// core's defaults.
+// CoalesceWindow (opt-in linger for batch-mates; the default 0 batches
+// only what is already queued, and an idle process rounds any window under
+// 1 ms up to 1 ms), and Flushers (parallel backend calls in flight). Zero
+// values take the core's defaults.
 type Config = srv.Config
 
 // Stats and DatasetStats are the /stats payload; ServerInfo is its
